@@ -10,8 +10,9 @@
 // --encode-path <layers|fused|int8> selects the inference fast path for the
 // final labelling pass (default: layers, the fp32 reference); --tile-budget N
 // bounds how many tiles are resident in the encode stage at once (0 = whole
-// swath in one batch). ci_int8_smoke.sh runs `--encode-path int8
-// --tile-budget 32` and checks the reported peak stays within the budget.
+// swath in one batch). The ctest gate gate_fig1_tile_budget runs
+// `--encode-path int8 --tile-budget 32` and checks the reported peak stays
+// within the budget.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>

@@ -6,11 +6,11 @@
 // ParameterSweep idiom. Each point reports makespan, facility utilization,
 // p99 queue wait, deadline misses, and the spec's declared deadline SLO
 // (which policies keep the miss-rate budget?); the grid lands in
-// BENCH_policies.json (schema mfw.policies/v1) for tools/ci_spec_smoke.sh
-// and EXPERIMENTS.md.
+// BENCH_policies.json (schema mfw.policies/v1) for the ctest gate
+// gate_policy_sweep and EXPERIMENTS.md.
 //
 // Usage: policy_sweep [--quick] [--out <path>]
-//   --quick  2 policies x 1 facility-count x 1 load (the CI smoke grid)
+//   --quick  2 policies x 1 facility-count x 1 load (the gate_policy_sweep grid)
 //   --out    JSON output path (default BENCH_policies.json)
 #include <cstdio>
 #include <cstring>

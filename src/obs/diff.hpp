@@ -16,8 +16,8 @@
 // membership transitions ("now on critical path").
 //
 // Output is a ranked mfw.trace_diff/v1 document plus a one-line text
-// verdict per process pair; CI perf-smoke gates on the verdict instead of
-// raw makespan thresholds (tools/ci_perf_smoke.sh, tools/ci_diff_smoke.sh).
+// verdict per process pair; the ctest gates gate on the verdict instead of
+// raw makespan thresholds (gate_baseline_diff, gate_diff_attribution).
 #pragma once
 
 #include <stdexcept>

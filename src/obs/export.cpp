@@ -15,15 +15,8 @@ namespace {
 
 constexpr const char* kComponent = "obs";
 
-using util::append_json_escaped;
-
 std::string json_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  append_json_escaped(out, text);
-  out += '"';
-  return out;
+  return '"' + util::json_escape(text) + '"';
 }
 
 /// Seconds -> trace-event microseconds with fixed sub-microsecond precision
@@ -34,18 +27,22 @@ std::string micros(double seconds) {
   return buf;
 }
 
-std::string json_args(const Args& args) {
+/// `{"key":"value",...}`, plus `"open":"true"` for a span still open.
+std::string json_args(const Args& args, bool open) {
   std::string out = "{";
-  bool first = true;
   for (const auto& [key, value] : args) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(key);
-    out += ":";
-    out += json_string(value);
+    if (out.size() > 1) out += ",";
+    out += json_string(key) + ":" + json_string(value);
   }
-  out += "}";
-  return out;
+  if (open) out += out.size() > 1 ? ",\"open\":\"true\"" : "\"open\":\"true\"";
+  return out + "}";
+}
+
+/// `{"ph":"<phase>","pid":<pid>,"tid":<tid>` — the head every lane event
+/// shares.
+std::string event_head(char phase, std::uint32_t pid, std::uint32_t tid) {
+  return std::string("{\"ph\":\"") + phase + "\",\"pid\":" +
+         std::to_string(pid) + ",\"tid\":" + std::to_string(tid);
 }
 
 std::string number_text(double value) {
@@ -77,8 +74,49 @@ std::string labels_text(const Labels& labels) {
 
 }  // namespace
 
-std::string json_escape(std::string_view text) {
-  return util::json_escape(text);
+void ChromeTraceWriter::emit(const std::string& event) {
+  out_ += first_ ? "\n" : ",\n";
+  first_ = false;
+  out_ += event;
+}
+
+void ChromeTraceWriter::process_name(std::uint32_t pid, std::string_view name) {
+  emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
+       ",\"name\":\"process_name\",\"args\":{\"name\":" + json_string(name) +
+       "}}");
+}
+
+void ChromeTraceWriter::thread_name(std::uint32_t pid, std::uint32_t tid,
+                                    std::string_view name) {
+  emit(event_head('M', pid, tid) +
+       ",\"name\":\"thread_name\",\"args\":{\"name\":" + json_string(name) +
+       "}}");
+}
+
+void ChromeTraceWriter::span(std::uint32_t pid, std::uint32_t tid,
+                             std::string_view category, std::string_view name,
+                             double start, double duration, const Args& args,
+                             bool open) {
+  emit(event_head('X', pid, tid) + ",\"cat\":" + json_string(category) +
+       ",\"name\":" + json_string(name) + ",\"ts\":" + micros(start) +
+       ",\"dur\":" + micros(duration) + ",\"args\":" + json_args(args, open) +
+       "}");
+}
+
+void ChromeTraceWriter::instant(std::uint32_t pid, std::uint32_t tid,
+                                std::string_view category,
+                                std::string_view name, double at,
+                                const Args& args) {
+  emit(event_head('i', pid, tid) + ",\"cat\":" + json_string(category) +
+       ",\"name\":" + json_string(name) + ",\"ts\":" + micros(at) +
+       ",\"s\":\"t\",\"args\":" + json_args(args, false) + "}");
+}
+
+std::string ChromeTraceWriter::finish(std::string_view members) {
+  out_ += "\n]";
+  out_ += members;
+  out_ += "}\n";
+  return std::move(out_);
 }
 
 std::string to_chrome_trace_json(const TraceRecorder& recorder) {
@@ -87,57 +125,29 @@ std::string to_chrome_trace_json(const TraceRecorder& recorder) {
   const auto spans = recorder.spans();
   const auto instants = recorder.instants();
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& event) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << event;
-  };
-
-  for (const auto& process : processes) {
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(process.pid) +
-         ",\"name\":\"process_name\",\"args\":{\"name\":" +
-         json_string(process.name) + "}}");
-  }
-  for (const auto& track : tracks) {
-    const auto pid = std::to_string(track.process);
-    const auto tid = std::to_string(track.tid);
-    emit("{\"ph\":\"M\",\"pid\":" + pid + ",\"tid\":" + tid +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-         json_string(track.name) + "}}");
-  }
+  ChromeTraceWriter writer;
+  for (const auto& process : processes)
+    writer.process_name(process.pid, process.name);
+  for (const auto& track : tracks)
+    writer.thread_name(track.process, track.tid, track.name);
   for (const auto& span : spans) {
     const TraceTrack& track = tracks.at(span.track);
-    std::string event = "{\"ph\":\"X\",\"pid\":" +
-                        std::to_string(track.process) +
-                        ",\"tid\":" + std::to_string(track.tid) +
-                        ",\"cat\":" + json_string(span.category) +
-                        ",\"name\":" + json_string(span.name) +
-                        ",\"ts\":" + micros(span.start) + ",\"dur\":" +
-                        micros(span.closed() ? span.end - span.start : 0.0);
-    Args args = span.args;
-    if (!span.closed()) args.emplace_back("open", "true");
-    event += ",\"args\":" + json_args(args) + "}";
-    emit(event);
+    writer.span(track.process, track.tid, span.category, span.name,
+                span.start, span.closed() ? span.end - span.start : 0.0,
+                span.args, !span.closed());
   }
   for (const auto& inst : instants) {
     const TraceTrack& track = tracks.at(inst.track);
-    emit("{\"ph\":\"i\",\"pid\":" + std::to_string(track.process) +
-         ",\"tid\":" + std::to_string(track.tid) + ",\"cat\":" +
-         json_string(inst.category) + ",\"name\":" + json_string(inst.name) +
-         ",\"ts\":" + micros(inst.at) + ",\"s\":\"t\",\"args\":" +
-         json_args(inst.args) + "}");
+    writer.instant(track.process, track.tid, inst.category, inst.name,
+                   inst.at, inst.args);
   }
-  os << "\n]}\n";
-  return os.str();
+  return writer.finish();
 }
 
 std::string to_metrics_text(const MetricsRegistry& registry) {
-  // The dump is diffed across runs (health/report smoke gates), so emission
-  // order is part of the format: sort by (name, labels) here rather than
-  // rely on whatever order the registry snapshots happen to use.
+  // The dump is diffed across runs, so emission order is part of the
+  // format: sort by (name, labels) here rather than rely on whatever order
+  // the registry snapshots happen to use.
   const auto by_series = [](const auto& a, const auto& b) {
     return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
   };

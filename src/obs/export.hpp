@@ -9,6 +9,7 @@
 //    distribution.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -17,11 +18,31 @@
 
 namespace mfw::obs {
 
-/// JSON-escapes `text` without surrounding quotes: quote/backslash plus
-/// \uXXXX for every control character < 0x20, so adversarial label values
-/// (embedded newlines, tabs, NULs) cannot produce invalid JSON. Shared by
-/// the trace exporter and the analyze/rollup report writers.
-std::string json_escape(std::string_view text);
+/// Builds a Chrome trace-event document one event at a time: the single
+/// event writer behind both the recorder export below and
+/// FlightRecorder::to_chrome_trace_json. Times are seconds, written as
+/// microseconds with fixed sub-microsecond precision.
+class ChromeTraceWriter {
+ public:
+  void process_name(std::uint32_t pid, std::string_view name);
+  void thread_name(std::uint32_t pid, std::uint32_t tid, std::string_view name);
+  /// Complete event (ph "X"); `open` appends an "open":"true" arg.
+  void span(std::uint32_t pid, std::uint32_t tid, std::string_view category,
+            std::string_view name, double start, double duration,
+            const Args& args, bool open = false);
+  /// Thread-scoped instant (ph "i").
+  void instant(std::uint32_t pid, std::uint32_t tid, std::string_view category,
+               std::string_view name, double at, const Args& args);
+  /// Closes the event array, appends `members` (extra top-level members,
+  /// each led by a comma) and returns the document.
+  std::string finish(std::string_view members = {});
+
+ private:
+  void emit(const std::string& event);
+
+  std::string out_ = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first_ = true;
+};
 
 /// Renders the recorder's events as a Chrome trace-event JSON document.
 std::string to_chrome_trace_json(const TraceRecorder& recorder);

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <exception>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -17,35 +16,6 @@ namespace {
 /// them).
 constexpr std::uint32_t kAlertTid = 999999;
 constexpr const char* kAlertTrack = "flight/alerts";
-
-std::string json_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  util::append_json_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-std::string micros(double seconds) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
-
-std::string json_args(const Args& args) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : args) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(key);
-    out += ":";
-    out += json_string(value);
-  }
-  out += "}";
-  return out;
-}
 
 std::string num(double value) {
   char buf[48];
@@ -197,46 +167,29 @@ std::string FlightRecorder::to_chrome_trace_json(
         seen_ > ring_.size() ? seen_ - ring_.size() : 0;
   }
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& event) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << event;
-  };
-
+  ChromeTraceWriter writer;
   // Thread-name metadata for every lane present in the ring.
   std::map<std::pair<std::uint32_t, std::uint32_t>, const std::string*> lanes;
   for (const auto& entry : entries)
     lanes.emplace(std::make_pair(entry.process, entry.tid), &entry.track);
   for (const auto& [lane, name] : lanes)
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(lane.first) +
-         ",\"tid\":" + std::to_string(lane.second) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-         json_string(*name) + "}}");
+    writer.thread_name(lane.first, lane.second, *name);
 
   for (const auto& entry : entries) {
-    const std::string pid = std::to_string(entry.process);
-    const std::string tid = std::to_string(entry.tid);
-    if (entry.entry_kind == Entry::Kind::kSpan) {
-      emit("{\"ph\":\"X\",\"pid\":" + pid + ",\"tid\":" + tid +
-           ",\"cat\":" + json_string(entry.category) + ",\"name\":" +
-           json_string(entry.name) + ",\"ts\":" + micros(entry.start) +
-           ",\"dur\":" + micros(entry.end - entry.start) + ",\"args\":" +
-           json_args(entry.args) + "}");
-    } else {
-      emit("{\"ph\":\"i\",\"pid\":" + pid + ",\"tid\":" + tid +
-           ",\"cat\":" + json_string(entry.category) + ",\"name\":" +
-           json_string(entry.name) + ",\"ts\":" + micros(entry.start) +
-           ",\"s\":\"t\",\"args\":" + json_args(entry.args) + "}");
-    }
+    if (entry.entry_kind == Entry::Kind::kSpan)
+      writer.span(entry.process, entry.tid, entry.category, entry.name,
+                  entry.start, entry.end - entry.start, entry.args);
+    else
+      writer.instant(entry.process, entry.tid, entry.category, entry.name,
+                     entry.start, entry.args);
   }
-  os << "\n],\"flight\":{\"reason\":" << json_string(reason)
-     << ",\"capacity\":" << config_.capacity << ",\"seen\":" << seen_count
-     << ",\"overwritten\":" << overwritten_count << ",\"retained\":"
-     << entries.size() << "}}\n";
-  return os.str();
+  return writer.finish(",\"flight\":{\"reason\":\"" +
+                       util::json_escape(reason) + "\",\"capacity\":" +
+                       std::to_string(config_.capacity) + ",\"seen\":" +
+                       std::to_string(seen_count) + ",\"overwritten\":" +
+                       std::to_string(overwritten_count) +
+                       ",\"retained\":" + std::to_string(entries.size()) +
+                       "}");
 }
 
 bool FlightRecorder::dump(const std::string& path,

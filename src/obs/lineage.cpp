@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <sstream>
@@ -11,26 +10,6 @@
 
 namespace mfw::obs {
 namespace {
-
-const std::string* arg_of(const Args& args, std::string_view key) {
-  for (const auto& [k, v] : args)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-std::string granule_arg(const Args& args) {
-  if (const std::string* g = arg_of(args, "granule")) return *g;
-  if (const std::string* k = arg_of(args, "key")) return *k;
-  return {};
-}
-
-double double_arg(const Args& args, std::string_view key) {
-  const std::string* value = arg_of(args, key);
-  if (!value) return 0.0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  return end == value->c_str() ? 0.0 : parsed;
-}
 
 /// Hop kind for a span: the chain vocabulary is derived from the span
 /// category (the analyzer's conventions), with compute lanes resolving to
@@ -79,7 +58,7 @@ LineageReport extract_lineage(const TraceRecorder& recorder,
 
   for (const auto& span : spans) {
     if (span.track >= tracks.size() || !span.closed()) continue;
-    const std::string granule = granule_arg(span.args);
+    const std::string granule = granule_of(span.args);
     if (granule.empty()) continue;
     const TraceTrack& track = tracks[span.track];
     LineageHop hop;
@@ -88,15 +67,15 @@ LineageReport extract_lineage(const TraceRecorder& recorder,
     hop.track = track.name;
     hop.start = span.start;
     hop.end = span.end;
-    hop.queue_wait_s = double_arg(span.args, "queue_wait_s");
-    if (const std::string* status = arg_of(span.args, "status"))
+    hop.queue_wait_s = arg_number(span.args, "queue_wait_s");
+    if (const std::string* status = find_arg(span.args, "status"))
       hop.status = *status;
-    hop.attempts = static_cast<int>(double_arg(span.args, "attempts"));
+    hop.attempts = static_cast<int>(arg_number(span.args, "attempts"));
     chain_for(track.process, granule).hops.push_back(std::move(hop));
   }
   for (const auto& instant : instants) {
     if (instant.track >= tracks.size()) continue;
-    const std::string granule = granule_arg(instant.args);
+    const std::string granule = granule_of(instant.args);
     if (granule.empty()) continue;
     const TraceTrack& track = tracks[instant.track];
     LineageHop hop;
@@ -254,11 +233,11 @@ void LineageRollup::on_span(const TraceTrack& track, const TraceSpan& span) {
   SpanSink* next = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::string granule = granule_arg(span.args);
+    const std::string granule = granule_of(span.args);
     if (!granule.empty() && span.closed()) {
-      const std::string* status = arg_of(span.args, "status");
+      const std::string* status = find_arg(span.args, "status");
       touch_locked(granule, span.start, span.end,
-                   double_arg(span.args, "queue_wait_s"),
+                   arg_number(span.args, "queue_wait_s"),
                    span.category == "download", span.category == "compute",
                    span.category == "flow.state",
                    /*ready=*/false, status && *status == "failed");
@@ -273,7 +252,7 @@ void LineageRollup::on_instant(const TraceTrack& track,
   SpanSink* next = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::string granule = granule_arg(instant.args);
+    const std::string granule = granule_of(instant.args);
     if (!granule.empty())
       touch_locked(granule, instant.at, instant.at, 0.0, false, false, false,
                    instant.name == "granule.ready", false);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/export.hpp"
@@ -152,13 +151,8 @@ void SpanRollup::on_span(const TraceTrack& track, const TraceSpan& span) {
     return series_.try_emplace(name, config_).first->second;
   };
   series_at(base + ".duration_s").add(span.end, span.duration());
-  for (const auto& [key, value] : span.args) {
-    if (key != "queue_wait_s") continue;
-    char* end = nullptr;
-    const double wait = std::strtod(value.c_str(), &end);
-    if (end != value.c_str())
-      series_at(base + ".queue_wait_s").add(span.end, wait);
-  }
+  const double wait = arg_number(span.args, "queue_wait_s", std::nan(""));
+  if (!std::isnan(wait)) series_at(base + ".queue_wait_s").add(span.end, wait);
 }
 
 void SpanRollup::on_instant(const TraceTrack& track,

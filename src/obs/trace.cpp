@@ -1,6 +1,31 @@
 #include "obs/trace.hpp"
 
+#include <cstdlib>
+
 namespace mfw::obs {
+
+const std::string* find_arg(const Args& args, std::string_view key) {
+  for (const auto& [k, v] : args)
+    if (k == key) return &v;
+  return nullptr;
+}
+
+double arg_number(const std::string& value, double fallback) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  return end == value.c_str() ? fallback : parsed;
+}
+
+double arg_number(const Args& args, std::string_view key, double fallback) {
+  const std::string* value = find_arg(args, key);
+  return value ? arg_number(*value, fallback) : fallback;
+}
+
+std::string granule_of(const Args& args) {
+  if (const std::string* g = find_arg(args, "granule")) return *g;
+  if (const std::string* k = find_arg(args, "key")) return *k;
+  return {};
+}
 
 namespace {
 /// Fallback time source when no clock is attached; origin at first use so

@@ -39,6 +39,21 @@ namespace mfw::obs {
 /// trace-event "args").
 using Args = std::vector<std::pair<std::string, std::string>>;
 
+/// Value of the first `key` in `args`; nullptr when absent.
+const std::string* find_arg(const Args& args, std::string_view key);
+
+/// Leading number of an arg value (strtod rules); `fallback` when the text
+/// does not start with one.
+double arg_number(const std::string& value, double fallback = 0.0);
+
+/// arg_number of the first `key` in `args`; `fallback` when absent.
+double arg_number(const Args& args, std::string_view key,
+                  double fallback = 0.0);
+
+/// Granule identity threaded through the stages: the "granule" arg on task
+/// spans and flow runs, else the "key" arg on granule.ready instants.
+std::string granule_of(const Args& args);
+
 /// Handle for an open span; zero-initialised means "not recording".
 struct SpanId {
   std::uint64_t id = 0;  // 1-based index into the recorder's span buffer

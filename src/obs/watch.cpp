@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/export.hpp"
@@ -31,12 +30,6 @@ std::string num(double value) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.6g", value);
   return buf;
-}
-
-double parse_double(const std::string& text, double fallback) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() ? value : fallback;
 }
 
 /// Merged {count, p99, p50-of-stream} view of the series windows overlapping
@@ -107,9 +100,9 @@ void TelemetryBus::on_span(const TraceTrack& track, const TraceSpan& span) {
   event.end = span.end;
   for (const auto& [key, value] : span.args) {
     if (key == "queue_wait_s") {
-      event.queue_wait_s = parse_double(value, event.queue_wait_s);
+      event.queue_wait_s = arg_number(value, event.queue_wait_s);
     } else if (key == "attempts") {
-      event.attempts = static_cast<int>(parse_double(value, 0.0));
+      event.attempts = static_cast<int>(arg_number(value, 0.0));
     } else if (key == "status") {
       event.status = value;
     }

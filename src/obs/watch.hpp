@@ -26,9 +26,9 @@
 // (never scheduled into the workflow's engine by this layer), and no
 // simulation state — RNG, queues, links — is touched. A paper run with the
 // bus attached is therefore bit-for-bit identical to an unwatched run
-// (sha256-gated in tools/ci_health_smoke.sh), and with the recorder disabled
-// the cost at every call site stays the single relaxed atomic load gated in
-// bench/micro_obs.cpp.
+// (sha256-gated by the ctest gate gate_fig6_sha_watch), and with the
+// recorder disabled the cost at every call site stays the single relaxed
+// atomic load gated in bench/micro_obs.cpp.
 #pragma once
 
 #include <cstdint>

@@ -153,8 +153,9 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
     config.preprocess_walltime =
         pp["walltime"].as_double_or(config.preprocess_walltime);
     // Uniform scaling of the calibrated cost model. Primarily a fault/
-    // regression-injection knob: CI's diff smoke gate slows preprocess 2x
-    // and requires `mfwctl diff` to attribute the makespan delta to it.
+    // regression-injection knob: the ctest gate gate_diff_attribution slows
+    // preprocess 2x and requires `mfwctl diff` to attribute the makespan
+    // delta to it.
     const double cost_scale = pp["cost_scale"].as_double_or(1.0);
     if (!(cost_scale > 0.0))
       throw util::YamlError("config: preprocess cost_scale must be > 0");

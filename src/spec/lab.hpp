@@ -74,7 +74,7 @@ struct LabResult {
 LabResult run_lab(const LabConfig& config);
 
 /// Serializes sweep results as the "mfw.policies/v1" JSON document consumed
-/// by tools/ci_spec_smoke.sh and EXPERIMENTS.md (one record per
+/// by the ctest gate gate_policy_sweep and EXPERIMENTS.md (one record per
 /// policy x facility-count x load point).
 std::string results_to_json(const std::vector<LabResult>& results);
 

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "util/json_writer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mfw::obs {
@@ -358,12 +359,12 @@ TEST(TraceExport, ChromeTraceJsonIsValidAndComplete) {
 
 TEST(TraceExport, ControlCharactersEscapeAsUnicode) {
   // Sub-0x20 bytes must become \uXXXX escapes, never raw bytes.
-  EXPECT_EQ(json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(util::json_escape("\x1f"), "\\u001f");
   // Adjacent-literal splicing: the \x escape resolves before concatenation.
-  EXPECT_EQ(json_escape("a\x01" "b"), "a\\u0001b");
-  EXPECT_EQ(json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(json_escape("nl\nquote\"back\\"), "nl\\nquote\\\"back\\\\");
-  EXPECT_EQ(json_escape("plain ascii"), "plain ascii");
+  EXPECT_EQ(util::json_escape("a\x01" "b"), "a\\u0001b");
+  EXPECT_EQ(util::json_escape("tab\there"), "tab\\there");
+  EXPECT_EQ(util::json_escape("nl\nquote\"back\\"), "nl\\nquote\\\"back\\\\");
+  EXPECT_EQ(util::json_escape("plain ascii"), "plain ascii");
 }
 
 TEST(TraceExport, AdversarialLabelsStayValidJson) {

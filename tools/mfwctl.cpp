@@ -34,7 +34,7 @@
 //       shifts ranked by magnitude, with queue-wait, straggler-cause, and
 //       path-membership evidence. Emits a text verdict (or mfw.trace_diff/v1
 //       JSON with --json). --gate exits 3 when B regressed beyond noise —
-//       the CI perf gate (tools/ci_perf_smoke.sh, tools/ci_diff_smoke.sh).
+//       the ctest gates gate_baseline_diff and gate_diff_attribution.
 //       Exit 1 with a clear message on schema mismatch or truncated input.
 //   mfwctl watch <config.yaml> [--interval <sim-s>] [--window <s>]
 //                [--anomaly-k <k>] [--health-out <path>] [--csv <path>]
@@ -45,7 +45,7 @@
 //       --interval sim-seconds and writing the mfw.health/v1 alert stream
 //       to --health-out. Watching is read-only: the run is bit-for-bit
 //       identical to `mfwctl run` (--csv emits the same timeline CSV,
-//       sha256-gated in tools/ci_health_smoke.sh).
+//       sha256-gated by the ctest gate gate_fig6_sha_watch).
 //
 //   `run` and `watch` additionally take [--flight-out <path>]
 //   [--flight-capacity <n>]: attach the always-on crash-safe flight recorder
@@ -53,7 +53,7 @@
 //   health episodes, dumped as Perfetto-loadable Chrome-trace JSON at end of
 //   run, on std::terminate, and (under watch) the moment an SLO alert fires.
 //   The ring is a read-only SpanSink, so the run stays bit-for-bit identical
-//   (sha256-gated in tools/ci_diff_smoke.sh).
+//   (sha256-gated by the ctest gate gate_fig6_sha_flight).
 //   mfwctl plan <spec.yaml> | --builtin [--facility olcf|nersc|alcf]
 //       Validate a declarative workflow spec (stages, claims, dataflow
 //       edges, campaign) against a facility and print the compiled DAG.
@@ -73,13 +73,17 @@
 //       an example mfw.serve/v1 response. --json emits the bench document
 //       (schema mfw.serve/v1) on stdout; --cache 0 disables the result
 //       cache.
+//
+//   Numeric flag values must be non-negative numbers (integers for counts);
+//   anything else is rejected with usage and exit 2 before the command runs.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -136,75 +140,81 @@ int usage() {
   return 2;
 }
 
+/// What follows a flag. Numbers are validated before any command runs, so
+/// garbage never silently becomes 0 and a negative count never wraps to a
+/// huge std::size_t (or starts that many threads).
+enum class Value { kNone, kText, kCount, kReal, kCountList, kRealList };
+
 struct FlagSpec {
   const char* name;
-  bool takes_value;
+  Value value;
 };
 
 /// Flags each command accepts; nullptr for unknown commands.
 const std::vector<FlagSpec>* flags_for(const std::string& command) {
+  using enum Value;
   static const std::map<std::string, std::vector<FlagSpec>> kFlags = {
       {"run",
-       {{"--timeline", false},
-        {"--csv", true},
-        {"--flight-out", true},
-        {"--flight-capacity", true},
-        {"--quiet", false}}},
+       {{"--timeline", kNone},
+        {"--csv", kText},
+        {"--flight-out", kText},
+        {"--flight-capacity", kCount},
+        {"--quiet", kNone}}},
       {"run-template",
-       {{"--facility", true},
-        {"--timeline", false},
-        {"--csv", true},
-        {"--quiet", false}}},
-      {"trace",
-       {{"--out", true}, {"--metrics", true}, {"--quiet", false}}},
+       {{"--facility", kText},
+        {"--timeline", kNone},
+        {"--csv", kText},
+        {"--quiet", kNone}}},
+      {"trace", {{"--out", kText}, {"--metrics", kText}, {"--quiet", kNone}}},
       {"report",
-       {{"--json", false},
-        {"--out", true},
-        {"--straggler-k", true},
-        {"--from", true},
-        {"--quiet", false}}},
+       {{"--json", kNone},
+        {"--out", kText},
+        {"--straggler-k", kReal},
+        {"--from", kText},
+        {"--quiet", kNone}}},
       {"lineage",
-       {{"--granule", true},
-        {"--json", false},
-        {"--out", true},
-        {"--top", true},
-        {"--quiet", false}}},
+       {{"--granule", kText},
+        {"--json", kNone},
+        {"--out", kText},
+        {"--top", kCount},
+        {"--quiet", kNone}}},
       {"diff",
-       {{"--json", false},
-        {"--out", true},
-        {"--gate", false},
-        {"--quiet", false}}},
+       {{"--json", kNone},
+        {"--out", kText},
+        {"--gate", kNone},
+        {"--quiet", kNone}}},
       {"watch",
-       {{"--interval", true},
-        {"--window", true},
-        {"--anomaly-k", true},
-        {"--health-out", true},
-        {"--csv", true},
-        {"--flight-out", true},
-        {"--flight-capacity", true},
-        {"--quiet", false}}},
-      {"plan", {{"--builtin", false}, {"--facility", true}, {"--quiet", false}}},
+       {{"--interval", kReal},
+        {"--window", kReal},
+        {"--anomaly-k", kReal},
+        {"--health-out", kText},
+        {"--csv", kText},
+        {"--flight-out", kText},
+        {"--flight-capacity", kCount},
+        {"--quiet", kNone}}},
+      {"plan",
+       {{"--builtin", kNone}, {"--facility", kText}, {"--quiet", kNone}}},
       {"sweep",
-       {{"--builtin", false},
-        {"--facility", true},
-        {"--policies", true},
-        {"--facilities", true},
-        {"--loads", true},
-        {"--out", true},
-        {"--quiet", false}}},
+       {{"--builtin", kNone},
+        {"--facility", kText},
+        {"--policies", kText},
+        {"--facilities", kCountList},
+        {"--loads", kRealList},
+        {"--out", kText},
+        {"--quiet", kNone}}},
       {"serve-bench",
-       {{"--tiles", true},
-        {"--shards", true},
-        {"--threads", true},
-        {"--users", true},
-        {"--requests", true},
-        {"--days", true},
-        {"--cache", true},
-        {"--seed", true},
-        {"--check", false},
-        {"--json", false},
-        {"--out", true},
-        {"--quiet", false}}},
+       {{"--tiles", kCount},
+        {"--shards", kCount},
+        {"--threads", kCount},
+        {"--users", kCount},
+        {"--requests", kCount},
+        {"--days", kCount},
+        {"--cache", kCount},
+        {"--seed", kCount},
+        {"--check", kNone},
+        {"--json", kNone},
+        {"--out", kText},
+        {"--quiet", kNone}}},
       {"registry", {}},
       {"facilities", {}},
   };
@@ -219,8 +229,70 @@ const FlagSpec* find_flag(const std::vector<FlagSpec>& spec,
   return nullptr;
 }
 
-/// Rejects unknown `--flags` and value flags missing their value, matching
-/// the unknown-command behaviour (error on stderr, usage, exit nonzero).
+/// Integer in [0, INT_MAX] (so it fits every count type, `int` included):
+/// digits only, no sign, no trailing garbage.
+std::optional<int> parse_count(std::string_view text) {
+  int value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last || value < 0) return std::nullopt;
+  return value;
+}
+
+/// Non-negative finite number, the whole text consumed.
+std::optional<double> parse_real(std::string_view text) {
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last || !std::isfinite(value) || value < 0)
+    return std::nullopt;
+  return value;
+}
+
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::string item;
+  std::istringstream in(text);
+  while (std::getline(in, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+/// What a `kind` value should have been when `text` is not one; nullptr
+/// when it is well formed.
+const char* value_error(Value kind, const std::string& text) {
+  const auto all = [&](auto parse) {
+    const auto items = split_csv(text);
+    return !items.empty() &&
+           std::all_of(items.begin(), items.end(),
+                       [&](const std::string& item) {
+                         return parse(item).has_value();
+                       });
+  };
+  switch (kind) {
+    case Value::kNone:
+    case Value::kText:
+      return nullptr;
+    case Value::kCount:
+      return parse_count(text) ? nullptr : "an integer in [0, 2147483647]";
+    case Value::kReal:
+      return parse_real(text) ? nullptr : "a non-negative number";
+    case Value::kCountList:
+      return all(parse_count)
+                 ? nullptr
+                 : "a comma-separated list of integers in [0, 2147483647]";
+    case Value::kRealList:
+      return all(parse_real)
+                 ? nullptr
+                 : "a comma-separated list of non-negative numbers";
+  }
+  return nullptr;
+}
+
+/// Rejects unknown `--flags`, value flags missing their value, and malformed
+/// numbers, matching the unknown-command behaviour (error on stderr, usage,
+/// exit 2).
 bool validate_flags(const std::string& command,
                     const std::vector<std::string>& args,
                     const std::vector<FlagSpec>& spec) {
@@ -232,12 +304,17 @@ bool validate_flags(const std::string& command,
                    args[i].c_str(), command.c_str());
       return false;
     }
-    if (flag->takes_value && i + 1 >= args.size()) {
+    if (flag->value == Value::kNone) continue;
+    if (++i >= args.size()) {
       std::fprintf(stderr, "error: flag '%s' requires a value\n",
-                   args[i].c_str());
+                   flag->name);
       return false;
     }
-    if (flag->takes_value) ++i;
+    if (const char* expected = value_error(flag->value, args[i])) {
+      std::fprintf(stderr, "error: flag '%s' expects %s, got '%s'\n",
+                   flag->name, expected, args[i].c_str());
+      return false;
+    }
   }
   return true;
 }
@@ -338,16 +415,6 @@ spec::StageGraph load_graph(bool builtin, const std::string& path,
       spec::WorkflowSpec::from_yaml_text(slurp(path)), caps);
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(text);
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -368,12 +435,21 @@ int main(int argc, char** argv) {
       if (args[i] == flag) return args[i + 1];
     return {};
   };
+  // Numeric values were validated up front, so these parses cannot fail.
+  auto count_flag = [&](const char* flag, std::uint64_t fallback) {
+    const auto v = flag_value(flag);
+    return v.empty() ? fallback : *parse_count(v);
+  };
+  auto real_flag = [&](const char* flag, double fallback) {
+    const auto v = flag_value(flag);
+    return v.empty() ? fallback : *parse_real(v);
+  };
   auto positional = [&](std::size_t index) -> std::string {
     std::size_t seen = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i].rfind("--", 0) == 0) {
         const FlagSpec* flag = spec ? find_flag(*spec, args[i]) : nullptr;
-        if (flag && flag->takes_value) ++i;  // skip value
+        if (flag && flag->value != Value::kNone) ++i;  // skip value
         continue;
       }
       if (seen++ == index) return args[i];
@@ -389,12 +465,9 @@ int main(int argc, char** argv) {
       const auto path = positional(0);
       if (path.empty()) return usage();
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
-      std::size_t flight_capacity = 0;
-      if (const auto v = flag_value("--flight-capacity"); !v.empty())
-        flight_capacity = static_cast<std::size_t>(std::atol(v.c_str()));
       return run_config(std::move(config), has_flag("--timeline"),
                         flag_value("--csv"), flag_value("--flight-out"),
-                        flight_capacity);
+                        count_flag("--flight-capacity", 0));
     }
     if (command == "run-template") {
       const auto name = positional(0);
@@ -468,8 +541,7 @@ int main(int argc, char** argv) {
       pipeline::EomlWorkflow workflow(std::move(config));
       const auto report = workflow.run();
       obs::AnalyzeOptions options;
-      if (const auto k = flag_value("--straggler-k"); !k.empty())
-        options.straggler_k = std::atof(k.c_str());
+      options.straggler_k = real_flag("--straggler-k", options.straggler_k);
       const auto analysis =
           obs::analyze_trace(obs::TraceRecorder::instance(), options);
       if (const auto out = flag_value("--out"); !out.empty()) {
@@ -495,9 +567,7 @@ int main(int argc, char** argv) {
       const auto report = workflow.run();
       const auto lineage =
           obs::extract_lineage(obs::TraceRecorder::instance());
-      std::size_t top = 10;
-      if (const auto v = flag_value("--top"); !v.empty())
-        top = static_cast<std::size_t>(std::atol(v.c_str()));
+      const auto top = static_cast<std::size_t>(count_flag("--top", 10));
       if (const auto out = flag_value("--out"); !out.empty()) {
         obs::write_file(out, lineage.to_json());
         if (!json)
@@ -559,14 +629,10 @@ int main(int argc, char** argv) {
       if (path.empty()) return usage();
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
       const bool quiet = has_flag("--quiet");
-      double interval = 0.0;
-      if (const auto v = flag_value("--interval"); !v.empty())
-        interval = std::atof(v.c_str());
+      const double interval = real_flag("--interval", 0.0);
       obs::HealthConfig health;
-      if (const auto v = flag_value("--window"); !v.empty())
-        health.window_s = std::atof(v.c_str());
-      if (const auto v = flag_value("--anomaly-k"); !v.empty())
-        health.anomaly_k = std::atof(v.c_str());
+      health.window_s = real_flag("--window", health.window_s);
+      health.anomaly_k = real_flag("--anomaly-k", health.anomaly_k);
 
       obs::set_globally_enabled(true);
       auto& rec = obs::TraceRecorder::instance();
@@ -593,9 +659,8 @@ int main(int argc, char** argv) {
       std::unique_ptr<obs::FlightRecorder> flight;
       if (!flight_out.empty()) {
         obs::FlightConfig flight_config;
-        if (const auto v = flag_value("--flight-capacity"); !v.empty())
-          flight_config.capacity =
-              static_cast<std::size_t>(std::atol(v.c_str()));
+        flight_config.capacity = static_cast<std::size_t>(
+            count_flag("--flight-capacity", flight_config.capacity));
         flight = std::make_unique<obs::FlightRecorder>(flight_config);
         bus.set_next(flight.get());
         monitor.set_alert_hook([&](const obs::Alert& alert) {
@@ -669,12 +734,12 @@ int main(int argc, char** argv) {
       if (const auto f = flag_value("--facilities"); !f.empty()) {
         facility_counts.clear();
         for (const auto& v : split_csv(f))
-          facility_counts.push_back(std::atoi(v.c_str()));
+          facility_counts.push_back(*parse_count(v));
       }
       std::vector<double> loads = {1.0, 2.0};
       if (const auto l = flag_value("--loads"); !l.empty()) {
         loads.clear();
-        for (const auto& v : split_csv(l)) loads.push_back(std::atof(v.c_str()));
+        for (const auto& v : split_csv(l)) loads.push_back(*parse_real(v));
       }
       std::vector<spec::LabResult> results;
       for (const auto& policy : policies) {
@@ -710,22 +775,18 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "serve-bench") {
-      const auto int_flag = [&](const char* flag, long fallback) {
-        const auto v = flag_value(flag);
-        return v.empty() ? fallback : std::atol(v.c_str());
-      };
-      const auto tiles = static_cast<std::size_t>(int_flag("--tiles", 200000));
-      const int days = static_cast<int>(int_flag("--days", 30));
-      const auto seed =
-          static_cast<std::uint64_t>(int_flag("--seed", 2024));
+      const auto tiles =
+          static_cast<std::size_t>(count_flag("--tiles", 200000));
+      const int days = static_cast<int>(count_flag("--days", 30));
+      const std::uint64_t seed = count_flag("--seed", 2024);
       const auto cache_capacity =
-          static_cast<std::size_t>(int_flag("--cache", 8192));
+          static_cast<std::size_t>(count_flag("--cache", 8192));
       constexpr int kNumClasses = 42;
 
       const auto records = serve::synth_records(tiles, days, kNumClasses, seed);
       serve::CatalogConfig cat_config;
-      cat_config.shard_count =
-          static_cast<std::size_t>(std::max(1L, int_flag("--shards", 32)));
+      cat_config.shard_count = static_cast<std::size_t>(
+          std::max<std::uint64_t>(1, count_flag("--shards", 32)));
       serve::Catalog catalog(cat_config);
       util::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
       catalog.ingest(records, &pool);
@@ -784,9 +845,10 @@ int main(int argc, char** argv) {
       svc_config.cache_capacity = std::max<std::size_t>(1, cache_capacity);
       serve::ServeService service(catalog, svc_config);
       serve::LoadConfig load;
-      load.users = static_cast<std::size_t>(int_flag("--users", 100000));
-      load.requests = static_cast<std::size_t>(int_flag("--requests", 200000));
-      load.threads = static_cast<std::size_t>(int_flag("--threads", 4));
+      load.users = static_cast<std::size_t>(count_flag("--users", 100000));
+      load.requests =
+          static_cast<std::size_t>(count_flag("--requests", 200000));
+      load.threads = static_cast<std::size_t>(count_flag("--threads", 4));
       load.day_hi = days;
       load.num_classes = kNumClasses;
       load.seed = seed;
