@@ -1,9 +1,9 @@
-// Cross-facility campaign: the paper's §V-A vision in action — a registry
-// of shareable pipelines, facility profiles for the three DOE IRI compute
-// facilities, and a broker that places day-jobs across them.
+// Cross-facility campaign: the paper's §V-A vision in action — shareable
+// pipeline templates, the three DOE IRI compute facilities, and a broker
+// that places day-jobs across them.
 #include <cstdio>
 
-#include "federation/orchestrator.hpp"
+#include "pipeline/campaign.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -12,36 +12,30 @@ int main() {
   using namespace mfw;
   util::Logger::instance().set_level(util::LogLevel::kWarn);
 
-  // 1. The community pipeline registry (pipeline-as-a-service).
-  federation::PipelineRegistry registry;
-  registry.publish_builtin();
+  // 1. The community pipeline templates (pipeline-as-a-service).
   std::printf("Published pipelines:\n");
-  for (const auto& name : registry.names())
-    std::printf("  %-16s %s\n", name.c_str(),
-                registry.entry(name).description.c_str());
+  for (const auto& t : pipeline::pipeline_templates())
+    std::printf("  %-16.*s %.*s\n", static_cast<int>(t.name.size()),
+                t.name.data(), static_cast<int>(t.description.size()),
+                t.description.data());
 
   // 2. The federated facilities.
-  std::vector<federation::FacilityProfile> facilities = {
-      federation::FacilityProfile::olcf_defiant(),
-      federation::FacilityProfile::nersc_perlmutter_like(),
-      federation::FacilityProfile::alcf_polaris_like(),
-  };
+  const auto& facilities = spec::Facility::builtins();
   std::printf("\nFederated facilities:\n");
   for (const auto& f : facilities)
     std::printf("  %-24s %3d nodes, sched %.1fs, WAN %s\n", f.name.c_str(),
                 f.total_nodes, f.scheduler_latency,
-                util::format_rate(f.archive_bandwidth_bps).c_str());
+                util::format_rate(f.wan_bps).c_str());
 
   // 3. A week-long campaign: one day-job per day, brokered least-loaded.
-  std::vector<federation::CampaignJob> jobs;
+  std::vector<pipeline::CampaignJob> jobs;
   for (int day = 1; day <= 7; ++day) {
-    jobs.push_back(federation::CampaignJob{
+    jobs.push_back(pipeline::CampaignJob{
         "aicca-daily", "workflow: {max_files: 8, span: {first_day: " +
                            std::to_string(day) + "}}\npreprocess: {nodes: 4}\n"});
   }
-  federation::CampaignOrchestrator orchestrator(
-      registry, facilities, federation::PlacementPolicy::kLeastLoaded);
-  const auto report = orchestrator.run(jobs);
+  const auto report = pipeline::run_campaign(
+      jobs, facilities, pipeline::PlacementPolicy::kLeastLoaded);
 
   util::Table table({"day", "facility", "granules", "tiles", "job makespan",
                      "queue finish"});

@@ -114,7 +114,7 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
     config.download_workers =
         static_cast<int>(dl["workers"].as_int_or(config.download_workers));
     if (dl.has("wan_capacity"))
-      config.wan_capacity_bps =
+      config.facility.wan_bps =
           static_cast<double>(dl["wan_capacity"].as_bytes());
     if (dl.has("connection_speed"))
       config.per_connection_median_bps =
@@ -149,7 +149,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
         static_cast<int>(pp["channels"].as_int_or(config.tiler.channels));
     config.tiler.min_cloud_fraction = pp["min_cloud_fraction"].as_double_or(
         config.tiler.min_cloud_fraction);
-    config.slurm_latency = pp["slurm_latency"].as_double_or(config.slurm_latency);
+    config.facility.scheduler_latency =
+        pp["slurm_latency"].as_double_or(config.facility.scheduler_latency);
     config.preprocess_walltime =
         pp["walltime"].as_double_or(config.preprocess_walltime);
     // Uniform scaling of the calibrated cost model. Primarily a fault/
@@ -196,16 +197,17 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
     config.shipment_streams =
         static_cast<int>(ship["streams"].as_int_or(config.shipment_streams));
     if (ship.has("link_capacity"))
-      config.facility_link_bps =
+      config.facility.link_bps =
           static_cast<double>(ship["link_capacity"].as_bytes());
   }
 
-  const auto& facility = root["facility"];
-  if (facility.is_map()) {
-    config.facility_total_nodes = static_cast<int>(
-        facility["total_nodes"].as_int_or(config.facility_total_nodes));
-    config.node_r_max = facility["node_r_max"].as_double_or(config.node_r_max);
-    config.node_tau = facility["node_tau"].as_double_or(config.node_tau);
+  const auto& fac = root["facility"];
+  if (fac.is_map()) {
+    auto& facility = config.facility;
+    facility.total_nodes = static_cast<int>(
+        fac["total_nodes"].as_int_or(facility.total_nodes));
+    facility.node_r_max = fac["node_r_max"].as_double_or(facility.node_r_max);
+    facility.node_tau = fac["node_tau"].as_double_or(facility.node_tau);
   }
 
   const auto& content = root["content"];
@@ -231,6 +233,11 @@ EomlConfig EomlConfig::from_yaml_text(std::string_view text) {
   return from_yaml(util::parse_yaml(text));
 }
 
+void EomlConfig::place_on(const spec::Facility& where) {
+  facility = where;
+  preprocess_nodes = std::min(preprocess_nodes, where.total_nodes);
+}
+
 void EomlConfig::validate() const {
   if (products.empty()) throw std::invalid_argument("config: no products");
   if (scheduling == SchedulingMode::kStreaming) {
@@ -249,10 +256,10 @@ void EomlConfig::validate() const {
     throw std::invalid_argument("config: download_workers must be >= 1");
   if (preprocess_nodes <= 0 || workers_per_node <= 0)
     throw std::invalid_argument("config: preprocessing resources must be >= 1");
-  if (facility_total_nodes < preprocess_nodes)
+  if (facility.total_nodes < preprocess_nodes)
     throw std::invalid_argument(
-        "config: preprocess_nodes exceeds facility_total_nodes");
-  if (!(node_r_max > 0) || !(node_tau > 0))
+        "config: preprocess_nodes exceeds the facility's total_nodes");
+  if (!(facility.node_r_max > 0) || !(facility.node_tau > 0))
     throw std::invalid_argument("config: contention law parameters must be > 0");
   if (inference_workers <= 0)
     throw std::invalid_argument("config: inference_workers must be >= 1");
@@ -269,7 +276,7 @@ void EomlConfig::validate() const {
         "streaming)");
   if (shipment_streams <= 0)
     throw std::invalid_argument("config: shipment_streams must be >= 1");
-  if (!(wan_capacity_bps > 0) || !(facility_link_bps > 0))
+  if (!(facility.wan_bps > 0) || !(facility.link_bps > 0))
     throw std::invalid_argument("config: link capacities must be > 0");
   if (!(poll_interval > 0))
     throw std::invalid_argument("config: poll_interval must be > 0");

@@ -51,9 +51,6 @@ struct EomlConfig {
 
   // -- download stage --------------------------------------------------------
   int download_workers = 3;
-  /// Effective LAADS->facility throughput ceiling (server-side per-user
-  /// fairness dominates; see bench/fig3_download.cpp).
-  double wan_capacity_bps = 23.5 * 1024 * 1024;
   double per_connection_median_bps = 7.5 * 1024 * 1024;
   double per_connection_sigma = 0.22;
 
@@ -66,19 +63,18 @@ struct EomlConfig {
   compute::BlockConfig block{};
   preprocess::TilerOptions tiler{};
   preprocess::PreprocessCostModel preprocess_cost{};
-  double slurm_latency = 1.5;
   /// Walltime requested for the static preprocess allocation. The default
   /// covers the paper's single-week runs; archive-scale campaigns must raise
   /// it or the allocation expires mid-run.
   double preprocess_walltime = 7 * 24 * 3600.0;
 
-  // -- facility characteristics (defaults: OLCF ACE Defiant) ------------------
-  /// Total nodes in the facility's batch partition.
-  int facility_total_nodes = 36;
-  /// Node contention-law calibration (see DESIGN.md): aggregate rate
-  /// saturates at node_r_max tile-equivalents/s with time constant node_tau.
-  double node_r_max = 38.5;
-  double node_tau = 3.1;
+  // -- facility (default: OLCF ACE Defiant) ----------------------------------
+  /// Where the compute stages run. YAML: facility.{total_nodes, node_r_max,
+  /// node_tau}, download.wan_capacity (the effective LAADS->facility
+  /// ceiling; server-side per-user fairness dominates, see
+  /// bench/fig3_download.cpp), preprocess.slurm_latency and
+  /// shipment.link_capacity.
+  spec::Facility facility;
 
   // -- monitor & trigger -----------------------------------------------------
   double poll_interval = 1.0;
@@ -106,7 +102,6 @@ struct EomlConfig {
 
   // -- shipment stage --------------------------------------------------------
   int shipment_streams = 4;
-  double facility_link_bps = 1.2 * 1024 * 1024 * 1024;
 
   // -- content mode ----------------------------------------------------------
   /// Materialize granule bytes and run the real tiler + RICC model (content
@@ -125,6 +120,10 @@ struct EomlConfig {
 
   static EomlConfig from_yaml(const util::YamlNode& root);
   static EomlConfig from_yaml_text(std::string_view text);
+
+  /// Moves the compute stages onto `where`, clamping the preprocess node
+  /// request to its partition.
+  void place_on(const spec::Facility& where);
 
   void validate() const;
 };

@@ -144,20 +144,13 @@ EomlWorkflow::EomlWorkflow(EomlConfig config)
       defiant_fs_(defiant_raw_, kDefiantLustreBps),
       orion_raw_("orion", &engine_),
       orion_fs_(orion_raw_, kDefiantLustreBps),
-      wan_(engine_, "laads-wan", config_.wan_capacity_bps),
-      facility_link_(engine_, "defiant-orion", config_.facility_link_bps),
-      slurm_(engine_, compute::SlurmSimConfig{config_.facility_total_nodes,
-                                              config_.slurm_latency}),
-      preprocess_exec_(engine_,
-                       [r = config_.node_r_max, tau = config_.node_tau] {
-                         return std::unique_ptr<sim::ContentionLaw>(
-                             std::make_unique<sim::SaturatingExpLaw>(r, tau));
-                       }),
-      inference_exec_(engine_,
-                      [r = config_.node_r_max, tau = config_.node_tau] {
-                        return std::unique_ptr<sim::ContentionLaw>(
-                            std::make_unique<sim::SaturatingExpLaw>(r, tau));
-                      }),
+      wan_(engine_, "laads-wan", config_.facility.wan_bps),
+      facility_link_(engine_, "defiant-orion", config_.facility.link_bps),
+      slurm_(engine_,
+             compute::SlurmSimConfig{config_.facility.total_nodes,
+                                     config_.facility.scheduler_latency}),
+      preprocess_exec_(engine_, config_.facility.contention_law()),
+      inference_exec_(engine_, config_.facility.contention_law()),
       shipper_(engine_, facility_link_),
       runner_(engine_, config_.retain_provenance ? &provenance_ : nullptr,
               flow::FlowRunnerConfig{config_.flow_action_overhead, 1'000'000}),
@@ -368,7 +361,8 @@ void EomlWorkflow::request_preprocess_nodes(std::function<void()> on_nodes) {
     block.workers_per_node = config_.workers_per_node;
     blocks_.emplace(engine_, slurm_, preprocess_exec_, block);
     blocks_->start();
-    report_.slurm_allocation_latency = config_.slurm_latency;  // per block
+    report_.slurm_allocation_latency =
+        config_.facility.scheduler_latency;  // per block
     if (on_nodes) on_nodes();
   } else {
     preprocess_job_ = slurm_.submit(

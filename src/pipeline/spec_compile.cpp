@@ -22,7 +22,7 @@ spec::WorkflowSpec spec_for_config(const EomlConfig& config) {
   download.kind = "transfer";
   download.claim.nodes = 1;
   download.claim.workers_per_node = config.download_workers;
-  download.claim.wan_bps = config.wan_capacity_bps;
+  download.claim.wan_bps = config.facility.wan_bps;
   download.claim.bytes_per_item = kMeanGranuleBytes;
   spec.stages.push_back(std::move(download));
 
@@ -87,18 +87,15 @@ spec::WorkflowSpec spec_for_config(const EomlConfig& config) {
   return spec;
 }
 
-spec::FacilityCaps caps_for_config(const EomlConfig& config) {
-  spec::FacilityCaps caps;
-  caps.name = "olcf_defiant";
-  caps.total_nodes = config.facility_total_nodes;
-  caps.max_workers_per_node = std::max(64, config.workers_per_node);
-  caps.wan_bps = config.wan_capacity_bps;
-  return caps;
+spec::StageGraph compile_config(const EomlConfig& config) {
+  return compile_config(config, config.facility);
 }
 
-spec::StageGraph compile_config(const EomlConfig& config) {
-  return spec::StageGraph::compile(spec_for_config(config),
-                                   caps_for_config(config));
+spec::StageGraph compile_config(const EomlConfig& config,
+                                spec::Facility facility) {
+  facility.max_workers_per_node =
+      std::max(facility.max_workers_per_node, config.workers_per_node);
+  return spec::StageGraph::compile(spec_for_config(config), facility);
 }
 
 }  // namespace mfw::pipeline

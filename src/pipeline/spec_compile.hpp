@@ -21,10 +21,12 @@ namespace mfw::pipeline {
 /// whole inference stage, as the seed does.
 spec::WorkflowSpec spec_for_config(const EomlConfig& config);
 
-/// Facility capacity slice of the config (Defiant by default).
-spec::FacilityCaps caps_for_config(const EomlConfig& config);
-
-/// Validates and compiles the built-in paper spec for `config`.
+/// Validates and compiles the built-in paper spec for `config` against
+/// `facility` (default: the config's own). The facility's worker ceiling is
+/// raised to the config's workers_per_node, so the paper pipeline's own
+/// width never fails the check.
 spec::StageGraph compile_config(const EomlConfig& config);
+spec::StageGraph compile_config(const EomlConfig& config,
+                                spec::Facility facility);
 
 }  // namespace mfw::pipeline

@@ -29,14 +29,11 @@ struct LabConfig {
   /// Admission policy name (compute::make_policy): fifo, fair_share,
   /// deadline, wan_aware.
   std::string policy = "fifo";
-  /// Identical facilities (each a caps-sized partition + its own WAN link);
-  /// campaigns round-robin across them.
+  /// Copies of the graph's facility (each its own partition, contention law
+  /// and WAN link); campaigns round-robin across them.
   int facilities = 1;
   /// Load multiplier on the spec's campaign count (rounded up, >= 1).
   double load = 1.0;
-  /// Node contention-law calibration for the executors (Defiant default).
-  double node_r_max = 38.5;
-  double node_tau = 3.1;
 };
 
 struct LabResult {

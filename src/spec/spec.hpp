@@ -1,4 +1,4 @@
-// Declarative workflow specifications (ROADMAP item 4).
+// Declarative workflow specifications and the facility record they run on.
 //
 // The paper hand-wires one EO-ML pipeline; the declarative-workflow line of
 // related work (Dflow; "From Specification to Execution") argues the durable
@@ -13,11 +13,13 @@
 //   campaign:  how many concurrent instances of the workflow run, their
 //              arrival spacing, items per instance, and a deadline
 //
-// validated into a typed DAG (StageGraph): duplicate-stage, unknown-input,
-// cycle, undeclared-dataflow-edge, and claim-vs-facility-capacity checks,
-// each anchored to the offending YAML line. The compiled graph then runs on
-// the existing sim/compute/flow substrate (spec::CampaignLab, and the paper
-// pipeline itself via pipeline::spec_for_config).
+// validated into a typed DAG (StageGraph) against one spec::Facility:
+// duplicate-stage, unknown-input, cycle, undeclared-dataflow-edge, and
+// claim-vs-facility-capacity checks, each anchored to the offending YAML
+// line. The compiled graph then runs on the existing sim/compute/flow
+// substrate (spec::CampaignLab, and the paper pipeline itself via
+// pipeline::spec_for_config), both building their executors and links from
+// the graph's facility.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "compute/cluster.hpp"
 #include "obs/watch.hpp"
 #include "util/yamlite.hpp"
 
@@ -139,28 +142,53 @@ std::vector<SloSpec> parse_slo_list(const util::YamlNode& node);
 /// Converts validated SLO specs into the watch layer's rule type.
 std::vector<obs::SloRule> health_rules(const WorkflowSpec& spec);
 
-/// The slice of a facility the validator checks claims against. Neutral
-/// struct (no federation dependency); federation::FacilityProfile converts
-/// trivially.
-struct FacilityCaps {
+/// One compute facility (paper §V-A: "aligning these systems for seamless
+/// data and resource sharing"): everything a workflow needs to know to run
+/// its stages there. StageGraph::compile checks claims against it; the paper
+/// pipeline and the policy lab build their node contention law, batch
+/// scheduler and links from it. Defaults are the OLCF ACE Defiant
+/// calibration.
+struct Facility {
+  /// Named by StageGraph::describe and by claim errors.
   std::string name = "olcf_defiant";
+  /// Batch-partition size available to the workflow.
   int total_nodes = 36;
+  /// Ceiling on a stage claim's workers per node.
   int max_workers_per_node = 64;
+  /// Batch-scheduler grant latency (seconds; Slurm, PBS, ... differ).
+  double scheduler_latency = 1.5;
+  /// Node contention law (DESIGN.md): aggregate rate saturates at
+  /// node_r_max tile-equivalents/s with time constant node_tau.
+  double node_r_max = 38.5;
+  double node_tau = 3.1;
+  /// Archive -> facility WAN throughput ceiling (bytes/s).
   double wan_bps = 23.5 * 1024 * 1024;
+  /// Facility -> analysis-site (Frontier/Orion) link (bytes/s).
+  double link_bps = 1.2 * 1024 * 1024 * 1024;
+
+  /// One saturating-exponential law per node, from node_r_max/node_tau.
+  compute::LawFactory contention_law() const;
+
+  /// The three IRI facilities the paper names: OLCF-Defiant (the measured
+  /// system), a NERSC-Perlmutter-like and an ALCF-Polaris-like profile.
+  static const std::vector<Facility>& builtins();
+  /// A builtin by short name (olcf | nersc | alcf); throws
+  /// std::invalid_argument for any other name.
+  static const Facility& by_name(std::string_view name);
 };
 
 /// A validated, topologically ordered workflow DAG.
 class StageGraph {
  public:
-  /// Validates `spec` against `caps` and builds the DAG. Throws SpecError
+  /// Validates `spec` against `facility` and builds the DAG. Throws SpecError
   /// (line-anchored) on: duplicate stage name, unknown input stage, cycle,
   /// dataflow edge not matching a declared input, claim exceeding facility
   /// capacity.
   static StageGraph compile(const WorkflowSpec& spec,
-                            const FacilityCaps& caps);
+                            const Facility& facility);
 
   const WorkflowSpec& spec() const { return spec_; }
-  const FacilityCaps& caps() const { return caps_; }
+  const Facility& facility() const { return facility_; }
 
   /// Stage names in topological (dependency-respecting) order; stable with
   /// respect to declaration order among independent stages.
@@ -183,7 +211,7 @@ class StageGraph {
 
  private:
   WorkflowSpec spec_;
-  FacilityCaps caps_;
+  Facility facility_;
   std::vector<std::string> topo_;
 };
 

@@ -55,6 +55,21 @@ slo:
     window: 120
 """
 
+# sha256 of the stdout of the cross-facility surfaces (facilities, pipeline
+# templates, the campaign broker), as (tool, argv...) -> digest.
+FACILITY_OUTPUTS = {
+    ("cross_facility",):
+        "af73cc6ee3c94cc1c09b5730a78e0cd684f61e42ad1cf9b7e61ba8bfaec2e43f",
+    ("mfwctl", "registry"):
+        "1d634032ad9bfb4fd582b79ac788e916be5222e1064a6181d0d991e231f4fc92",
+    ("mfwctl", "facilities"):
+        "b9cfb9656f977c446d2aacecad8fc787377b95455aa78bc37d32fac801068d19",
+    ("mfwctl", "run-template", "aicca-scaling", "--facility", "nersc"):
+        "5aea2e1c6262b92eee358b86b1ca61e31c0540f4adf20fdd302033d8fdd15676",
+    ("mfwctl", "plan", "--builtin", "--facility", "alcf"):
+        "fbfbb41c46a7e81992636ebb7c5aeacbe0eeb487c2ef820b581f4d9dad514325",
+}
+
 GATES = {}
 ARGS = {}  # source=<repo> plus <target>=<built binary>, from the command line
 
@@ -327,6 +342,24 @@ def lineage_hops(tmp):
 # -- declarative layer and live health ----------------------------------------
 
 @gate
+def facility_outputs(tmp):
+    """The facility, template and campaign-broker outputs stay byte for
+    byte what they were."""
+    for (name, *argv), want in FACILITY_OUTPUTS.items():
+        command = [tool(name), *argv]
+        proc = subprocess.run(command, capture_output=True)
+        check(proc.returncode == 0,
+              f"{' '.join(command)} exited {proc.returncode}\n"
+              f"{proc.stderr.decode(errors='replace')}")
+        actual = hashlib.sha256(proc.stdout).hexdigest()
+        check(actual == want,
+              f"{' '.join(command)} stdout drifted\n"
+              f"  expected {want}\n  actual   {actual}\n"
+              f"{proc.stdout.decode(errors='replace')}")
+        print(f"OK: {name} {' '.join(argv)} ({want[:12]}...)")
+
+
+@gate
 def plan_builtin(tmp):
     plan = run(tool("mfwctl"), "plan", "--builtin").stdout
     for stage in ("download", "preprocess", "monitor", "inference", "shipment"):
@@ -450,6 +483,7 @@ def cli_unknown_flags(tmp):
     for argv in (["report", fig6, "--bogus"],
                  ["trace", fig6, "--frobnicate", "x"],
                  ["run", fig6, "--json"],
+                 ["run-template", "aicca-daily", "--bogus"],
                  ["watch", fig6, "--bogus"],
                  ["plan", "--builtin", "--bogus"],
                  ["sweep", "--builtin", "--frobnicate"],
@@ -462,8 +496,9 @@ def cli_unknown_flags(tmp):
 
 @gate
 def cli_numeric_flags(tmp):
-    """Numeric flags reject non-numbers, trailing garbage, negative values
-    and counts beyond int range before anything is allocated or started."""
+    """Numeric flags reject non-numbers, trailing garbage, negative values,
+    counts beyond int range and a zero flight ring before anything is
+    allocated or started."""
     fig6 = baseline("fig6.yaml")
     for argv in (["serve-bench", "--tiles", "abc"],
                  ["serve-bench", "--tiles", "-5"],
@@ -472,6 +507,8 @@ def cli_numeric_flags(tmp):
                  ["serve-bench", "--seed", "1.5"],
                  ["serve-bench", "--days", "99999999999"],
                  ["run", fig6, "--flight-capacity", "-1"],
+                 ["run", fig6, "--flight-capacity", "0"],
+                 ["watch", fig6, "--flight-capacity", "0"],
                  ["watch", fig6, "--interval", "abc"],
                  ["watch", fig6, "--window", "-1"],
                  ["report", fig6, "--straggler-k", "2x"],

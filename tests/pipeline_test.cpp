@@ -1,13 +1,18 @@
-// Tests for pipeline configuration parsing and the timeline recorder.
+// Tests for pipeline configuration parsing, the timeline recorder, the
+// pipeline templates and the cross-facility campaign broker.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "obs/watch.hpp"
+#include "pipeline/campaign.hpp"
 #include "pipeline/config.hpp"
 #include "pipeline/eoml_workflow.hpp"
 #include "pipeline/spec_compile.hpp"
 #include "pipeline/timeline.hpp"
+#include "util/log.hpp"
 
 namespace mfw::pipeline {
 namespace {
@@ -56,11 +61,11 @@ TEST(SpecCompile, BuiltinSpecMirrorsConfig) {
             spec::EdgeMode::kStreaming);
 }
 
-TEST(SpecCompile, ClaimsRespectFacilityCaps) {
+TEST(SpecCompile, ClaimsRespectTheFacility) {
   // compile_config validates the paper claims against the config's own
   // facility, so an oversubscribed config fails at compile, not mid-run.
   EomlConfig config;
-  config.preprocess_nodes = config.facility_total_nodes + 1;
+  config.preprocess_nodes = config.facility.total_nodes + 1;
   EXPECT_THROW(compile_config(config), spec::SpecError);
 }
 
@@ -110,12 +115,13 @@ content:
   ASSERT_TRUE(config.max_files.has_value());
   EXPECT_EQ(*config.max_files, 80u);
   EXPECT_EQ(config.download_workers, 6);
-  EXPECT_DOUBLE_EQ(config.wan_capacity_bps, 200.0 * 1024 * 1024);
+  EXPECT_DOUBLE_EQ(config.facility.wan_bps, 200.0 * 1024 * 1024);
   EXPECT_EQ(config.preprocess_nodes, 10);
   EXPECT_EQ(config.workers_per_node, 8);
-  EXPECT_DOUBLE_EQ(config.slurm_latency, 2.0);
+  EXPECT_DOUBLE_EQ(config.facility.scheduler_latency, 2.0);
   EXPECT_DOUBLE_EQ(config.poll_interval, 0.5);
   EXPECT_EQ(config.shipment_streams, 8);
+  EXPECT_DOUBLE_EQ(config.facility.link_bps, 2.0 * 1024 * 1024 * 1024);
   EXPECT_EQ(config.seed, 99u);
 }
 
@@ -324,6 +330,124 @@ TEST(WorkflowHealth, WatchedRunFiresSloAlertAndDoesNotPerturbTheRun) {
   EXPECT_EQ(monitor.alerts()[0].cause, "queue-wait");
   EXPECT_GT(monitor.events_seen(), 0u);
   EXPECT_EQ(monitor.dropped_events(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Facilities, pipeline templates and the campaign broker (paper §V-A)
+
+class CampaignTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    util::Logger::instance().set_level(util::LogLevel::kError);
+  }
+  void TearDown() override {
+    util::Logger::instance().set_level(util::LogLevel::kInfo);
+  }
+};
+
+std::vector<CampaignJob> small_jobs(int count) {
+  std::vector<CampaignJob> jobs;
+  for (int day = 1; day <= count; ++day) {
+    jobs.push_back(CampaignJob{
+        "aicca-daily",
+        "workflow: {max_files: 4, span: {first_day: " + std::to_string(day) +
+            "}}\npreprocess: {nodes: 2}\n"});
+  }
+  return jobs;
+}
+
+TEST(Facility, PlacingAConfigClampsNodesToThePartition) {
+  EomlConfig config;
+  config.preprocess_nodes = 50;  // more than Polaris-like has
+  config.place_on(spec::Facility::by_name("alcf"));
+  EXPECT_EQ(config.facility.total_nodes, 24);
+  EXPECT_EQ(config.preprocess_nodes, 24);
+  EXPECT_DOUBLE_EQ(config.facility.scheduler_latency, 4.0);
+  EXPECT_DOUBLE_EQ(config.facility.node_r_max, 44.0);
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_NO_THROW(compile_config(config));
+}
+
+TEST(Templates, EveryBuiltinInstantiatesAndValidates) {
+  const auto templates = pipeline_templates();
+  ASSERT_EQ(templates.size(), 3u);
+  for (std::size_t i = 0; i < templates.size(); ++i) {
+    const auto& t = templates[i];
+    SCOPED_TRACE(std::string(t.name));
+    EXPECT_FALSE(t.description.empty());
+    if (i > 0) {
+      EXPECT_LT(templates[i - 1].name, t.name);  // listed sorted
+    }
+    const auto config = instantiate(t.name);
+    EXPECT_NO_THROW(config.validate());
+    EXPECT_NO_THROW(compile_config(config));
+  }
+  const auto daily = instantiate("aicca-daily");
+  EXPECT_EQ(daily.preprocess_nodes, 10);
+  EXPECT_TRUE(daily.daytime_only);
+  EXPECT_THROW(instantiate("nope"), std::invalid_argument);
+}
+
+TEST(Templates, OverridesDeepMerge) {
+  const auto config = instantiate("aicca-daily", R"(
+workflow:
+  max_files: 6
+  span: {first_day: 42}
+preprocess:
+  nodes: 2
+)");
+  ASSERT_TRUE(config.max_files.has_value());
+  EXPECT_EQ(*config.max_files, 6u);
+  EXPECT_EQ(config.span.first_day, 42);
+  EXPECT_EQ(config.preprocess_nodes, 2);
+  // Untouched template values survive the merge.
+  EXPECT_EQ(config.workers_per_node, 8);
+  EXPECT_EQ(config.download_workers, 3);
+}
+
+TEST_F(CampaignTest, RoundRobinUsesEveryFacility) {
+  const auto& builtins = spec::Facility::builtins();
+  int observed = 0;
+  const auto report = run_campaign(
+      small_jobs(4), {builtins[0], builtins[1]}, PlacementPolicy::kRoundRobin,
+      [&](const JobOutcome&) { ++observed; });
+  EXPECT_EQ(report.jobs.size(), 4u);
+  EXPECT_EQ(observed, 4);
+  EXPECT_GT(report.total_tiles, 0u);
+  std::set<std::string> used;
+  for (const auto& job : report.jobs) used.insert(job.facility);
+  EXPECT_EQ(used.size(), 2u);
+  // Campaign makespan equals the slowest facility queue.
+  double slowest = 0;
+  for (const auto& [name, busy] : report.facility_busy_time)
+    slowest = std::max(slowest, busy);
+  EXPECT_DOUBLE_EQ(report.campaign_makespan, slowest);
+}
+
+TEST_F(CampaignTest, LeastLoadedBeatsSingleFacility) {
+  const auto jobs = small_jobs(6);
+  const auto single = run_campaign(jobs, {spec::Facility::by_name("olcf")});
+  const auto federated = run_campaign(jobs, spec::Facility::builtins(),
+                                      PlacementPolicy::kLeastLoaded);
+  EXPECT_EQ(single.total_tiles, federated.total_tiles);
+  EXPECT_LT(federated.campaign_makespan, single.campaign_makespan);
+}
+
+TEST_F(CampaignTest, FacilityWanShapesJobMakespan) {
+  // The same job must take longer on a facility whose archive path is the
+  // bottleneck (WAN below the workers' aggregate connection throughput).
+  const auto job = small_jobs(1);
+  spec::Facility fast = spec::Facility::by_name("olcf");
+  spec::Facility slow = fast;
+  slow.name = "throttled";
+  slow.wan_bps = 6.0 * 1024 * 1024;
+  const double fast_time = run_campaign(job, {fast}).jobs[0].makespan;
+  const double slow_time = run_campaign(job, {slow}).jobs[0].makespan;
+  EXPECT_LT(fast_time * 1.5, slow_time);
+}
+
+TEST_F(CampaignTest, EmptyFacilityListRejected) {
+  EXPECT_THROW(run_campaign(small_jobs(1), {}), std::invalid_argument);
 }
 
 }  // namespace

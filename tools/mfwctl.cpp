@@ -4,11 +4,11 @@
 //       Run the five-stage workflow from a YAML configuration file.
 //   mfwctl registry
 //       List the built-in shareable pipeline templates.
-//   mfwctl run-template <name> [<overrides.yaml>] [--facility <profile>]
-//       Instantiate a registry template (optionally merged with overrides)
-//       and run it on a named facility profile (olcf | nersc | alcf).
+//   mfwctl run-template <name> [<overrides.yaml>] [--facility <name>]
+//       Instantiate a pipeline template (optionally merged with overrides)
+//       and run it on a built-in facility (olcf | nersc | alcf).
 //   mfwctl facilities
-//       Show the built-in facility profiles.
+//       Show the built-in facilities.
 //   mfwctl trace <config.yaml> [--out <trace.json>] [--metrics <path>] [--quiet]
 //       Run the workflow with the obs layer enabled and export a Chrome
 //       trace-event JSON (load in Perfetto / chrome://tracing) plus an
@@ -49,9 +49,10 @@
 //
 //   `run` and `watch` additionally take [--flight-out <path>]
 //   [--flight-capacity <n>]: attach the always-on crash-safe flight recorder
-//   (DESIGN.md §15) — a fixed-size ring of the most recent spans/instants/
-//   health episodes, dumped as Perfetto-loadable Chrome-trace JSON at end of
-//   run, on std::terminate, and (under watch) the moment an SLO alert fires.
+//   (DESIGN.md §15) — a ring of the most recent n >= 1 (default 8192)
+//   spans/instants/health episodes, dumped as Perfetto-loadable Chrome-trace
+//   JSON at end of run, on std::terminate, and (under watch) the moment an
+//   SLO alert fires.
 //   The ring is a read-only SpanSink, so the run stays bit-for-bit identical
 //   (sha256-gated by the ctest gate gate_fig6_sha_flight).
 //   mfwctl plan <spec.yaml> | --builtin [--facility olcf|nersc|alcf]
@@ -88,12 +89,12 @@
 #include <string>
 #include <vector>
 
-#include "federation/orchestrator.hpp"
 #include "obs/analyze.hpp"
 #include "obs/diff.hpp"
 #include "obs/flight.hpp"
 #include "obs/lineage.hpp"
 #include "obs/watch.hpp"
+#include "pipeline/campaign.hpp"
 #include "pipeline/spec_compile.hpp"
 #include "spec/lab.hpp"
 #include "spec/spec.hpp"
@@ -143,7 +144,9 @@ int usage() {
 /// What follows a flag. Numbers are validated before any command runs, so
 /// garbage never silently becomes 0 and a negative count never wraps to a
 /// huge std::size_t (or starts that many threads).
-enum class Value { kNone, kText, kCount, kReal, kCountList, kRealList };
+enum class Value {
+  kNone, kText, kCount, kPositive, kReal, kCountList, kRealList
+};
 
 struct FlagSpec {
   const char* name;
@@ -158,7 +161,7 @@ const std::vector<FlagSpec>* flags_for(const std::string& command) {
        {{"--timeline", kNone},
         {"--csv", kText},
         {"--flight-out", kText},
-        {"--flight-capacity", kCount},
+        {"--flight-capacity", kPositive},
         {"--quiet", kNone}}},
       {"run-template",
        {{"--facility", kText},
@@ -190,7 +193,7 @@ const std::vector<FlagSpec>* flags_for(const std::string& command) {
         {"--health-out", kText},
         {"--csv", kText},
         {"--flight-out", kText},
-        {"--flight-capacity", kCount},
+        {"--flight-capacity", kPositive},
         {"--quiet", kNone}}},
       {"plan",
        {{"--builtin", kNone}, {"--facility", kText}, {"--quiet", kNone}}},
@@ -276,6 +279,10 @@ const char* value_error(Value kind, const std::string& text) {
       return nullptr;
     case Value::kCount:
       return parse_count(text) ? nullptr : "an integer in [0, 2147483647]";
+    case Value::kPositive:
+      return parse_count(text).value_or(0) > 0
+                 ? nullptr
+                 : "an integer in [1, 2147483647]";
     case Value::kReal:
       return parse_real(text) ? nullptr : "a non-negative number";
     case Value::kCountList:
@@ -327,19 +334,26 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// The flight ring `run` and `watch` attach: `capacity` entries when the
+/// flag was given (validated >= 1), the FlightConfig default otherwise.
+obs::FlightConfig flight_config(const std::string& capacity) {
+  obs::FlightConfig config;
+  if (!capacity.empty())
+    config.capacity = static_cast<std::size_t>(*parse_count(capacity));
+  return config;
+}
+
 int run_config(pipeline::EomlConfig config, bool timeline,
                const std::string& csv_path,
                const std::string& flight_out = {},
-               std::size_t flight_capacity = 0) {
+               const obs::FlightConfig& flight_ring = {}) {
   // Always-on black box: spans stream through the flight ring (stats-only
   // retention, so memory stays bounded) and the ring is dumped at end of run
   // plus on std::terminate. Read-only sink — the run itself is unchanged.
   std::unique_ptr<obs::FlightRecorder> flight;
   auto& rec = obs::TraceRecorder::instance();
   if (!flight_out.empty()) {
-    obs::FlightConfig flight_config;
-    if (flight_capacity > 0) flight_config.capacity = flight_capacity;
-    flight = std::make_unique<obs::FlightRecorder>(flight_config);
+    flight = std::make_unique<obs::FlightRecorder>(flight_ring);
     obs::set_globally_enabled(true);
     obs::RetentionPolicy retention;
     retention.mode = obs::RetentionMode::kStatsOnly;
@@ -380,39 +394,20 @@ int run_config(pipeline::EomlConfig config, bool timeline,
   return 0;
 }
 
-federation::FacilityProfile profile_by_name(const std::string& name) {
-  if (name == "olcf") return federation::FacilityProfile::olcf_defiant();
-  if (name == "nersc")
-    return federation::FacilityProfile::nersc_perlmutter_like();
-  if (name == "alcf") return federation::FacilityProfile::alcf_polaris_like();
-  throw std::runtime_error("unknown facility '" + name +
-                           "' (expected olcf|nersc|alcf)");
-}
-
-spec::FacilityCaps caps_from_profile(const federation::FacilityProfile& p) {
-  spec::FacilityCaps caps;
-  caps.name = p.name;
-  caps.total_nodes = p.total_nodes;
-  caps.max_workers_per_node = std::max(64, p.default_workers_per_node);
-  caps.wan_bps = p.archive_bandwidth_bps;
-  return caps;
-}
-
-/// Resolves the spec + caps a plan/sweep command operates on: either a spec
-/// YAML file validated against a facility, or the built-in paper spec.
+/// Resolves the graph a plan/sweep command operates on: a spec YAML file or
+/// the built-in paper spec (default config), validated against the named
+/// builtin facility (default: Defiant).
 spec::StageGraph load_graph(bool builtin, const std::string& path,
-                            const std::string& facility) {
-  spec::FacilityCaps caps;
-  if (!facility.empty()) caps = caps_from_profile(profile_by_name(facility));
-  if (builtin) {
-    pipeline::EomlConfig config;
-    if (facility.empty()) return pipeline::compile_config(config);
-    return spec::StageGraph::compile(pipeline::spec_for_config(config), caps);
-  }
+                            const std::string& facility_name) {
+  const spec::Facility facility = facility_name.empty()
+                                      ? spec::Facility{}
+                                      : spec::Facility::by_name(facility_name);
+  if (builtin)
+    return pipeline::compile_config(pipeline::EomlConfig{}, facility);
   if (path.empty())
     throw std::runtime_error("expected a <spec.yaml> path or --builtin");
   return spec::StageGraph::compile(
-      spec::WorkflowSpec::from_yaml_text(slurp(path)), caps);
+      spec::WorkflowSpec::from_yaml_text(slurp(path)), facility);
 }
 
 }  // namespace
@@ -467,19 +462,17 @@ int main(int argc, char** argv) {
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
       return run_config(std::move(config), has_flag("--timeline"),
                         flag_value("--csv"), flag_value("--flight-out"),
-                        count_flag("--flight-capacity", 0));
+                        flight_config(flag_value("--flight-capacity")));
     }
     if (command == "run-template") {
       const auto name = positional(0);
       if (name.empty()) return usage();
-      federation::PipelineRegistry registry;
-      registry.publish_builtin();
       std::string overrides;
       if (const auto overrides_path = positional(1); !overrides_path.empty())
         overrides = slurp(overrides_path);
-      auto config = registry.instantiate(name, overrides);
+      auto config = pipeline::instantiate(name, overrides);
       if (const auto facility = flag_value("--facility"); !facility.empty())
-        profile_by_name(facility).apply(config);
+        config.place_on(spec::Facility::by_name(facility));
       return run_config(std::move(config), has_flag("--timeline"),
                         flag_value("--csv"));
     }
@@ -658,10 +651,8 @@ int main(int argc, char** argv) {
       const auto flight_out = flag_value("--flight-out");
       std::unique_ptr<obs::FlightRecorder> flight;
       if (!flight_out.empty()) {
-        obs::FlightConfig flight_config;
-        flight_config.capacity = static_cast<std::size_t>(
-            count_flag("--flight-capacity", flight_config.capacity));
-        flight = std::make_unique<obs::FlightRecorder>(flight_config);
+        flight = std::make_unique<obs::FlightRecorder>(
+            flight_config(flag_value("--flight-capacity")));
         bus.set_next(flight.get());
         monitor.set_alert_hook([&](const obs::Alert& alert) {
           flight->note_alert(alert);
@@ -901,23 +892,19 @@ int main(int argc, char** argv) {
       return mismatched == 0 ? 0 : 1;
     }
     if (command == "registry") {
-      federation::PipelineRegistry registry;
-      registry.publish_builtin();
-      for (const auto& name : registry.names())
-        std::printf("%-16s %s\n", name.c_str(),
-                    registry.entry(name).description.c_str());
+      for (const auto& t : pipeline::pipeline_templates())
+        std::printf("%-16.*s %.*s\n", static_cast<int>(t.name.size()),
+                    t.name.data(), static_cast<int>(t.description.size()),
+                    t.description.data());
       return 0;
     }
     if (command == "facilities") {
-      for (const auto& profile :
-           {federation::FacilityProfile::olcf_defiant(),
-            federation::FacilityProfile::nersc_perlmutter_like(),
-            federation::FacilityProfile::alcf_polaris_like()}) {
+      for (const auto& facility : spec::Facility::builtins()) {
         std::printf("%-24s %3d nodes  sched %.1fs  archive %s  analysis %s\n",
-                    profile.name.c_str(), profile.total_nodes,
-                    profile.scheduler_latency,
-                    util::format_rate(profile.archive_bandwidth_bps).c_str(),
-                    util::format_rate(profile.analysis_link_bps).c_str());
+                    facility.name.c_str(), facility.total_nodes,
+                    facility.scheduler_latency,
+                    util::format_rate(facility.wan_bps).c_str(),
+                    util::format_rate(facility.link_bps).c_str());
       }
       return 0;
     }
