@@ -37,6 +37,10 @@ class DaytimeFileSource {
   /// stays valid until the next call. Never shrinks.
   const std::vector<FileWorkload>& take(std::size_t count);
 
+  /// The first `count` files: exactly daytime_files(count, start_day, seed),
+  /// however long the list already is.
+  std::vector<FileWorkload> prefix(std::size_t count);
+
  private:
   modis::GranuleGenerator generator_;
   std::uint64_t seed_;
@@ -44,6 +48,11 @@ class DaytimeFileSource {
   int slot_ = 0;
   std::vector<FileWorkload> files_;
 };
+
+/// One source per iteration of a scaling bench, iteration i starting at day
+/// 1 + i. Every table row takes a prefix of the same per-iteration lists, so
+/// each granule's statistics are estimated once per bench run.
+std::vector<DaytimeFileSource> iteration_sources(int iterations);
 
 struct FarmResult {
   double makespan = 0.0;     // seconds (virtual) to process all files

@@ -9,10 +9,6 @@ namespace mfw::compute {
 
 namespace {
 constexpr const char* kComponent = "cluster";
-// Defiant calibration (DESIGN.md): R(w) = 38.5 * (1 - exp(-w / 3.1)) in
-// tile-equivalents/second reproduces Table I's single-node column.
-constexpr double kDefiantRMax = 38.5;
-constexpr double kDefiantTau = 3.1;
 }  // namespace
 
 LawFactory defiant_law_factory() {

@@ -28,6 +28,12 @@ namespace mfw::compute {
 /// Builds a fresh contention-law instance for each node.
 using LawFactory = std::function<std::unique_ptr<sim::ContentionLaw>()>;
 
+/// Defiant calibration (DESIGN.md): R(w) = 38.5 * (1 - exp(-w / 3.1)) in
+/// tile-equivalents/second reproduces Table I's single-node column. The one
+/// place these numbers live; spec::Facility's defaults refer to them.
+inline constexpr double kDefiantRMax = 38.5;
+inline constexpr double kDefiantTau = 3.1;
+
 /// The law calibrated to the paper's single-node Defiant saturation curve
 /// (aggregate ~10.5 tile/s at 1 worker, saturating near 38.5 tile/s).
 LawFactory defiant_law_factory();

@@ -37,8 +37,24 @@ LatLon ground_track(Satellite satellite, int slot, double u);
 double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
                         int day_of_year);
 
-/// Swath pixel -> lat/lon. `row_frac` in [0,1) along track within the
-/// granule, `col_frac` in [0,1) across the ~2330 km swath (cross-track).
+/// The along-track part of the swath geometry for one row: the ground-track
+/// centre, the normalised track direction and the longitude scale. Every
+/// pixel of a row shares it, so a sampler builds it once per row and keeps
+/// only the cross-track step per pixel.
+struct SwathRow {
+  LatLon centre;
+  double dlat = 0.0;  // normalised track direction
+  double dlon = 0.0;
+  double cos_lat = 1.0;
+
+  /// Pixel at `col_frac` in [0,1) across the ~2330 km swath (cross-track).
+  LatLon pixel(double col_frac) const;
+};
+
+/// Row geometry at `row_frac` in [0,1) along track within the granule.
+SwathRow swath_row(Satellite satellite, int slot, double row_frac);
+
+/// Swath pixel -> lat/lon; swath_row(...).pixel(col_frac).
 LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
                    double col_frac);
 

@@ -20,31 +20,49 @@ double NoiseField::lattice(std::int64_t ix, std::int64_t iy) const {
   return static_cast<double>(h >> 11) * 0x1.0p-52 - 1.0;
 }
 
-double NoiseField::at(double x, double y) const {
+double NoiseField::at(double x, double y, Cursor::Cell& cell) const {
   const double fx = std::floor(x);
   const double fy = std::floor(y);
   const auto ix = static_cast<std::int64_t>(fx);
   const auto iy = static_cast<std::int64_t>(fy);
   const double tx = smooth(x - fx);
   const double ty = smooth(y - fy);
-  const double v00 = lattice(ix, iy);
-  const double v10 = lattice(ix + 1, iy);
-  const double v01 = lattice(ix, iy + 1);
-  const double v11 = lattice(ix + 1, iy + 1);
-  const double a = v00 + (v10 - v00) * tx;
-  const double b = v01 + (v11 - v01) * tx;
+  if (!cell.valid || cell.ix != ix || cell.iy != iy) {
+    cell.valid = true;
+    cell.ix = ix;
+    cell.iy = iy;
+    cell.v00 = lattice(ix, iy);
+    cell.v10 = lattice(ix + 1, iy);
+    cell.v01 = lattice(ix, iy + 1);
+    cell.v11 = lattice(ix + 1, iy + 1);
+  }
+  const double a = cell.v00 + (cell.v10 - cell.v00) * tx;
+  const double b = cell.v01 + (cell.v11 - cell.v01) * tx;
   return a + (b - a) * ty;
+}
+
+double NoiseField::at(double x, double y) const {
+  Cursor::Cell cell;
+  return at(x, y, cell);
 }
 
 double NoiseField::fbm(double x, double y, int octaves, double gain,
                        double lacunarity) const {
+  Cursor cursor;
+  return fbm(x, y, octaves, cursor, gain, lacunarity);
+}
+
+double NoiseField::fbm(double x, double y, int octaves, Cursor& cursor,
+                       double gain, double lacunarity) const {
   double sum = 0.0;
   double amplitude = 1.0;
   double norm = 0.0;
   double fx = x;
   double fy = y;
   for (int i = 0; i < octaves; ++i) {
-    sum += amplitude * at(fx, fy);
+    const double v =
+        i < kCursorOctaves ? at(fx, fy, cursor.cells_[i]) : at(fx, fy);
+    sum += amplitude * v;
     norm += amplitude;
     amplitude *= gain;
     fx *= lacunarity;

@@ -58,18 +58,43 @@ class EarthModel {
  public:
   explicit EarthModel(std::uint64_t seed);
 
+  /// Samples the fields along one pass over a granule, keeping one lattice
+  /// cursor per field use (land and SST sample the continents at different
+  /// scales, so each gets its own). Results are bitwise those of the
+  /// pointwise methods below, which run on a fresh Sampler. Call-local: one
+  /// per sampling pass, never shared between threads.
+  class Sampler {
+   public:
+    explicit Sampler(const EarthModel& earth) : earth_(&earth) {}
+
+    bool is_land(const LatLon& p);
+    double cloud_intensity(const LatLon& p, int day_of_year);
+    double cloud_top_pressure(const LatLon& p, int day_of_year);
+    double surface_temperature(const LatLon& p);
+
+   private:
+    const EarthModel* earth_;
+    NoiseField::Cursor land_, sst_, weather_, texture_, pressure_;
+  };
+
   /// True over continents/islands (~30% of the globe).
-  bool is_land(const LatLon& p) const;
+  bool is_land(const LatLon& p) const { return Sampler(*this).is_land(p); }
 
   /// Cloud presence probability in [0, 1] for a day's weather.
-  double cloud_intensity(const LatLon& p, int day_of_year) const;
+  double cloud_intensity(const LatLon& p, int day_of_year) const {
+    return Sampler(*this).cloud_intensity(p, day_of_year);
+  }
 
   /// Cloud-top pressure proxy in hPa (lower = higher cloud); only meaningful
   /// where cloud_intensity is high.
-  double cloud_top_pressure(const LatLon& p, int day_of_year) const;
+  double cloud_top_pressure(const LatLon& p, int day_of_year) const {
+    return Sampler(*this).cloud_top_pressure(p, day_of_year);
+  }
 
   /// Sea-surface temperature proxy in Kelvin.
-  double surface_temperature(const LatLon& p) const;
+  double surface_temperature(const LatLon& p) const {
+    return Sampler(*this).surface_temperature(p);
+  }
 
  private:
   NoiseField continents_;

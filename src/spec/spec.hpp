@@ -159,8 +159,8 @@ struct Facility {
   double scheduler_latency = 1.5;
   /// Node contention law (DESIGN.md): aggregate rate saturates at
   /// node_r_max tile-equivalents/s with time constant node_tau.
-  double node_r_max = 38.5;
-  double node_tau = 3.1;
+  double node_r_max = compute::kDefiantRMax;
+  double node_tau = compute::kDefiantTau;
   /// Archive -> facility WAN throughput ceiling (bytes/s).
   double wan_bps = 23.5 * 1024 * 1024;
   /// Facility -> analysis-site (Frontier/Orion) link (bytes/s).

@@ -1,13 +1,19 @@
 // Unit tests for the synthetic MODIS system: noise determinism, orbit
-// geometry, product consistency, catalog naming/sizing, and workload
-// statistics.
+// geometry, product consistency, catalog naming/sizing, workload statistics,
+// and CRC32 pins on the synthesised outputs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "modis/catalog.hpp"
 #include "modis/noise.hpp"
 #include "modis/products.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace mfw::modis {
@@ -29,6 +35,83 @@ TEST(Noise, BoundedAndSmooth) {
       // Smoothness: nearby samples are close.
       const double v2 = field.fbm(x + 1e-4, y, 4);
       ASSERT_LT(std::abs(v - v2), 0.02);
+    }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A cursor carried along a walk returns bitwise what fresh pointwise calls
+// return: small steps (cell hits), jumps, negative coordinates, exact
+// integers on cell boundaries and large magnitudes.
+TEST(Noise, CursorMatchesPointwiseAlongWalk) {
+  const NoiseField field(2022);
+  util::Rng rng(99);
+  for (const int octaves : {1, 3, 5, NoiseField::kCursorOctaves + 2}) {
+    NoiseField::Cursor cursor;
+    double x = -3.7, y = 12.2;
+    for (int step = 0; step < 4000; ++step) {
+      const int kind = static_cast<int>(rng.uniform(0, 20));
+      if (kind == 0) {
+        x = std::floor(rng.uniform(-50, 50));  // exact cell corner
+        y = std::floor(rng.uniform(-50, 50));
+      } else if (kind == 1) {
+        x = rng.uniform(-1e9, 1e9);
+        y = rng.uniform(-1e9, 1e9);
+      } else if (kind == 2) {
+        x = -x;
+      } else {
+        x += rng.uniform(-0.3, 0.3);
+        y += rng.uniform(-0.3, 0.3);
+      }
+      ASSERT_EQ(bits(field.fbm(x, y, octaves, cursor)),
+                bits(field.fbm(x, y, octaves)))
+          << "octaves " << octaves << " at (" << x << ", " << y << ")";
+    }
+  }
+}
+
+TEST(Noise, CursorHonoursGainAndLacunarity) {
+  const NoiseField field(7);
+  NoiseField::Cursor cursor;
+  for (double x = -2.0; x < 2.0; x += 0.013) {
+    ASSERT_EQ(bits(field.fbm(x, 0.5 * x, 4, cursor, 0.6, 2.5)),
+              bits(field.fbm(x, 0.5 * x, 4, 0.6, 2.5)));
+  }
+}
+
+TEST(Products, SamplerMatchesPointwiseEarth) {
+  const EarthModel earth(2022);
+  EarthModel::Sampler sampler(earth);
+  for (int r = 0; r < 40; ++r) {
+    const SwathRow row = swath_row(Satellite::kAqua, 150, (r + 0.5) / 40);
+    for (int c = 0; c < 64; ++c) {
+      const LatLon p = row.pixel((c + 0.5) / 64);
+      ASSERT_EQ(sampler.is_land(p), earth.is_land(p));
+      ASSERT_EQ(bits(sampler.cloud_intensity(p, 17)),
+                bits(earth.cloud_intensity(p, 17)));
+      ASSERT_EQ(bits(sampler.cloud_top_pressure(p, 17)),
+                bits(earth.cloud_top_pressure(p, 17)));
+      ASSERT_EQ(bits(sampler.surface_temperature(p)),
+                bits(earth.surface_temperature(p)));
+    }
+  }
+}
+
+TEST(Geo, SwathRowPixelMatchesSwathPixel) {
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+    for (int slot = 0; slot < kSlotsPerDay; slot += 7) {
+      for (int r = 0; r < 50; ++r) {
+        const double row_frac = (r + 0.5) / 50;
+        const SwathRow row = swath_row(sat, slot, row_frac);
+        for (int c = 0; c < 37; ++c) {
+          const double col_frac = (c + 0.5) / 37;
+          const LatLon a = row.pixel(col_frac);
+          const LatLon b = swath_pixel(sat, slot, row_frac, col_frac);
+          ASSERT_EQ(bits(a.lat), bits(b.lat));
+          ASSERT_EQ(bits(a.lon), bits(b.lon));
+        }
+      }
     }
   }
 }
@@ -275,6 +358,95 @@ TEST(Stats, DayYieldIsRealistic) {
   const double mean = static_cast<double>(total) / day_granules;
   EXPECT_GT(mean, 30.0);
   EXPECT_LT(mean, 150.0);
+}
+
+// The pins below fix every bit the samplers produce: the workload statistics
+// of 2304 full-geometry granules (Terra and Aqua, four days, all slots) and
+// the serialised bytes of three materialised granules per product. Any change
+// to the synthesis, however small, moves a CRC.
+TEST(Pins, GranuleStatsFingerprint) {
+  GranuleGenerator gen(2022);
+  std::string text;
+  char line[128];
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+    for (const int day : {1, 100, 200, 366}) {
+      for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+        GranuleSpec spec;
+        spec.satellite = sat;
+        spec.year = 2022;
+        spec.day_of_year = day;
+        spec.slot = slot;
+        spec.geometry = kFullGeometry;
+        spec.world_seed = 2022;
+        const auto s = estimate_granule_stats(gen, spec);
+        std::snprintf(line, sizeof line, "%s %d %d %d %d %d %a\n",
+                      satellite_name(sat), day, slot, s.daytime ? 1 : 0,
+                      s.candidate_tiles, s.selected_tiles,
+                      s.mean_cloud_fraction);
+        text += line;
+      }
+    }
+  }
+  EXPECT_EQ(util::crc32(text.data(), text.size()), 0x2abf3d80u);
+}
+
+struct MaterializePin {
+  Satellite satellite;
+  int slot;
+  std::uint32_t mod02, mod03, mod06;
+};
+
+constexpr MaterializePin kMaterializePins[] = {
+    // Terra slot 8 is the first daytime slot, slot 0 a night granule.
+    {Satellite::kTerra, 8, 0xf4d286e8u, 0x797fb261u, 0x9939ede9u},
+    {Satellite::kTerra, 0, 0x17fff0a2u, 0xddffd298u, 0x74ff219du},
+    {Satellite::kAqua, 150, 0xf037b2a6u, 0x29b018e7u, 0x621fbcd9u},
+};
+
+TEST(Pins, MaterializedBytes) {
+  const ArchiveService archive(2022);
+  const GranuleGeometry geometry{256, 192, 6};
+  for (const auto& pin : kMaterializePins) {
+    const std::pair<ProductKind, std::uint32_t> expected[] = {
+        {ProductKind::kMod02, pin.mod02},
+        {ProductKind::kMod03, pin.mod03},
+        {ProductKind::kMod06, pin.mod06}};
+    for (const auto& [kind, crc] : expected) {
+      const GranuleId id{kind, pin.satellite, 2022, 1, pin.slot};
+      EXPECT_EQ(util::crc32(archive.materialize(id, geometry)), crc)
+          << id.filename();
+    }
+  }
+}
+
+// Synthesis keeps no state between calls, so one ArchiveService shared by
+// several threads yields the same bytes as a serial run (also run under
+// TSan by tools/ci_sanitize.sh).
+TEST(Concurrency, SharedArchiveMaterializesSameBytes) {
+  const ArchiveService archive(2022);
+  const GranuleGeometry geometry{64, 48, 4};
+  std::vector<GranuleId> ids;
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua})
+    for (const int slot : {0, 8, 40, 150, 200, 287})
+      for (const ProductKind kind :
+           {ProductKind::kMod02, ProductKind::kMod03, ProductKind::kMod06})
+        ids.push_back(GranuleId{kind, sat, 2022, 1, slot});
+  std::vector<std::vector<std::byte>> serial;
+  for (const auto& id : ids)
+    serial.push_back(archive.materialize(id, geometry));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::byte>> parallel(ids.size());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < ids.size(); i += kThreads)
+        parallel[i] = archive.materialize(ids[i], geometry);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    EXPECT_EQ(parallel[i], serial[i]) << ids[i].filename();
 }
 
 }  // namespace

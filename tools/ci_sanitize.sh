@@ -10,7 +10,10 @@
 # thread-pool data-parallel ML paths (parallel_for, encode_batch replicas,
 # the chunked gradient reduction) and the serving tier's lock-free
 # read-during-ingest path (serve_test's ConcurrentReadDuringIngest, the one
-# check that pins the shard memory-ordering protocol).
+# check that pins the shard memory-ordering protocol), and the synthetic
+# MODIS samplers shared across threads (modis_test's
+# SharedArchiveMaterializesSameBytes: their lattice cursors and row geometry
+# must stay call-local).
 #
 # The paper-run pins run in every plain `ctest` (label gate); the host-timing
 # floors run in Release trees (`ctest -L perf`).
@@ -37,5 +40,5 @@ cmake -B "${tsan_dir}" -S "${repo_root}" -DMFW_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${tsan_dir}" -j "$(nproc)" --target \
       ml_test ml_tensor_test ml_train_test ml_cluster_test ml_continual_test \
-      ml_quant_test util_test serve_test
-ctest --test-dir "${tsan_dir}" -R '^(ml_|util_|serve_)' --output-on-failure
+      ml_quant_test util_test serve_test modis_test
+ctest --test-dir "${tsan_dir}" -R '^(ml_|util_|serve_|modis_)' --output-on-failure
